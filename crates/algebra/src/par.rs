@@ -17,7 +17,7 @@ pub fn num_threads() -> usize {
 
 /// Applies `f` to every index in `0..n`, in parallel, collecting results
 /// in order. `f` must be cheap to call many times; chunking is by
-/// contiguous ranges.
+/// contiguous ranges, the first of which runs on the calling thread.
 pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send + Default + Clone,
@@ -29,14 +29,21 @@ where
     }
     let mut out = vec![T::default(); n];
     let chunk = n.div_ceil(threads);
+    let fill = |slot: &mut [T], start: usize| {
+        for (i, s) in slot.iter_mut().enumerate() {
+            *s = f(start + i);
+        }
+    };
     std::thread::scope(|scope| {
-        for (t, slot) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, s) in slot.iter_mut().enumerate() {
-                    *s = f(t * chunk + i);
-                }
-            });
+        let mut ranges = out.chunks_mut(chunk).enumerate();
+        let first = ranges.next();
+        for (t, slot) in ranges {
+            let fill = &fill;
+            scope.spawn(move || fill(slot, t * chunk));
+        }
+        // the calling thread fills the first range instead of idling
+        if let Some((_, slot)) = first {
+            fill(slot, 0);
         }
     });
     out

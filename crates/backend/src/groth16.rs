@@ -30,7 +30,7 @@ use dsaudit_snark::groth16::{prove, setup, verify, Proof, ProvingKey, VerifyingK
 use dsaudit_snark::{batch_public_inputs, merkle_batch_membership_circuit};
 
 use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, CommitmentVerifier};
 
 /// Wire ceiling on tree depth (shared rationale with the merkle
 /// backend: bounds decode work, unreachable in practice).
@@ -64,7 +64,7 @@ fn leaves_from(data: &[u8]) -> Vec<Fr> {
         .collect()
 }
 
-/// Decoded commitment payload.
+/// Decoded commitment payload — also the backend's prepared verifier.
 struct G16Commitment {
     root: Fr,
     depth: usize,
@@ -197,19 +197,22 @@ impl AuditBackend for Groth16MerkleBackend {
         })
     }
 
-    fn verify(
+    fn verifier(
         &self,
         commitment: &Commitment,
-        beacon: &[u8; 48],
-        proof: &BackendProof,
-    ) -> Result<Verdict, BackendError> {
+    ) -> Result<Box<dyn CommitmentVerifier>, BackendError> {
         commitment.expect_backend(BackendId::Groth16Merkle)?;
+        Ok(Box::new(Self::decode_commitment(&commitment.bytes)?))
+    }
+}
+
+impl CommitmentVerifier for G16Commitment {
+    fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError> {
         proof.expect_backend(BackendId::Groth16Merkle)?;
-        let c = Self::decode_commitment(&commitment.bytes)?;
         let p = Proof::decode(&proof.bytes)?;
-        let indices = Self::indices(beacon, c.leaf_count, c.batch);
-        let publics = batch_public_inputs(c.root, &indices, c.depth);
-        if verify(&c.vk, &publics, &p) {
+        let indices = Groth16MerkleBackend::indices(beacon, self.leaf_count, self.batch);
+        let publics = batch_public_inputs(self.root, &indices, self.depth);
+        if verify(&self.vk, &publics, &p) {
             Ok(Verdict::Accept)
         } else {
             Ok(Verdict::Reject(RejectReason::SnarkProof))

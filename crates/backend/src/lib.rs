@@ -10,10 +10,11 @@
 //! setup/tag ─→ challenge (beacon) ─→ prove ─→ verify ─→ settle
 //! ```
 //!
-//! A contract stores an erased [`Commitment`]; the provider holds an
-//! erased [`ProverKit`]; each round the chain's randomness beacon is
-//! the challenge, the provider answers with an erased [`BackendProof`],
-//! and the verifier returns the protocol's usual
+//! A contract decodes an erased [`Commitment`] once at deployment into
+//! a [`CommitmentVerifier`]; the provider holds an erased
+//! [`ProverKit`]; each round the chain's randomness beacon is the
+//! challenge, the provider answers with an erased [`BackendProof`],
+//! and the prepared verifier returns the protocol's usual
 //! [`Verdict`] — `Reject` for a proof that
 //! decodes but does not verify, a typed error for bytes that don't
 //! decode. All three wire objects lead with a [`BackendId`] byte, so a
@@ -162,19 +163,46 @@ pub trait AuditBackend: Send + Sync {
         beacon: &[u8; 48],
     ) -> Result<BackendProof, BackendError>;
 
-    /// Checks a proof against the commitment for the challenge derived
-    /// from `beacon`.
+    /// Decodes and validates `commitment` once, returning a verifier
+    /// that checks any number of rounds against it. A contract prepares
+    /// its verifier at deployment and runs it every round, so the
+    /// commitment's decode and validation (and any cache the scheme
+    /// keeps warm between rounds) are paid once, not per audit.
     ///
     /// # Errors
-    /// [`BackendError::WrongBackend`] on a backend-id mismatch, typed
-    /// codec errors on malformed bytes. A well-formed proof that fails
-    /// the check is `Ok(Verdict::Reject(..))`, not an error.
+    /// [`BackendError::WrongBackend`] when the commitment belongs to
+    /// another backend; typed codec errors when its payload does not
+    /// decode or fails validation.
+    fn verifier(
+        &self,
+        commitment: &Commitment,
+    ) -> Result<Box<dyn CommitmentVerifier>, BackendError>;
+
+    /// One-shot verification: prepares a verifier for `commitment` and
+    /// checks one proof with it.
+    ///
+    /// # Errors
+    /// As [`AuditBackend::verifier`] and [`CommitmentVerifier::verify`].
     fn verify(
         &self,
         commitment: &Commitment,
         beacon: &[u8; 48],
         proof: &BackendProof,
-    ) -> Result<Verdict, BackendError>;
+    ) -> Result<Verdict, BackendError> {
+        self.verifier(commitment)?.verify(beacon, proof)
+    }
+}
+
+/// A verifier bound to one decoded, validated [`Commitment`] — built by
+/// [`AuditBackend::verifier`] and reused across rounds.
+pub trait CommitmentVerifier: Send + Sync {
+    /// Checks a proof for the challenge derived from `beacon`.
+    ///
+    /// # Errors
+    /// [`BackendError::WrongBackend`] on a backend-id mismatch, typed
+    /// codec errors on malformed proof bytes. A well-formed proof that
+    /// fails the check is `Ok(Verdict::Reject(..))`, not an error.
+    fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError>;
 }
 
 /// The default-configured backend for a wire id — how contracts and

@@ -21,7 +21,7 @@ use dsaudit_merkle::audit::MerkleAudit;
 use dsaudit_merkle::tree::{MerkleHasher, MerklePath, Sha256Hasher};
 
 use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, CommitmentVerifier};
 
 /// Hard ceiling on tree depth accepted from the wire (2^64 leaves is
 /// unreachable anyway; the bound keeps decode allocations small).
@@ -128,7 +128,7 @@ impl Codec for MerkleBackendProof {
     }
 }
 
-/// Decoded commitment payload.
+/// Decoded commitment payload — also the backend's prepared verifier.
 struct MerkleCommitment {
     root: [u8; 32],
     depth: usize,
@@ -249,17 +249,20 @@ impl AuditBackend for MerkleBackend {
         })
     }
 
-    fn verify(
+    fn verifier(
         &self,
         commitment: &Commitment,
-        beacon: &[u8; 48],
-        proof: &BackendProof,
-    ) -> Result<Verdict, BackendError> {
+    ) -> Result<Box<dyn CommitmentVerifier>, BackendError> {
         commitment.expect_backend(BackendId::Merkle)?;
+        Ok(Box::new(Self::decode_commitment(&commitment.bytes)?))
+    }
+}
+
+impl CommitmentVerifier for MerkleCommitment {
+    fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError> {
         proof.expect_backend(BackendId::Merkle)?;
-        let c = Self::decode_commitment(&commitment.bytes)?;
         let p = MerkleBackendProof::decode(&proof.bytes)?;
-        let expected = Self::indices(beacon, c.leaf_count, c.k);
+        let expected = MerkleBackend::indices(beacon, self.leaf_count, self.k);
         if p.entries.len() != expected.len() {
             return Ok(Verdict::Reject(RejectReason::MerklePath));
         }
@@ -271,8 +274,8 @@ impl AuditBackend for MerkleBackend {
                 siblings: entry.siblings.clone(),
             };
             if entry.index != *want
-                || entry.siblings.len() != c.depth
-                || !path.verify(&Sha256Hasher::leaf(&entry.leaf), &c.root)
+                || entry.siblings.len() != self.depth
+                || !path.verify(&Sha256Hasher::leaf(&entry.leaf), &self.root)
             {
                 return Ok(Verdict::Reject(RejectReason::MerklePath));
             }

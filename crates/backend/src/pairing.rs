@@ -10,12 +10,12 @@ use dsaudit_algebra::Fr;
 use dsaudit_core::codec::{ByteReader, Codec};
 use dsaudit_core::verify::FileMeta;
 use dsaudit_core::{
-    verify_private, AuditParams, Challenge, DataOwner, EncodedFile, PrivateProof, Prover, PublicKey,
+    AuditParams, Auditor, Challenge, DataOwner, EncodedFile, PrivateProof, Prover, PublicKey,
     Verdict,
 };
 
 use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, CommitmentVerifier};
 
 /// The pairing backend; configured by the paper's audit parameters
 /// (blocks per chunk `s`, challenges per round `k`).
@@ -119,18 +119,35 @@ impl AuditBackend for PairingBackend {
         })
     }
 
-    fn verify(
+    fn verifier(
         &self,
         commitment: &Commitment,
-        beacon: &[u8; 48],
-        proof: &BackendProof,
-    ) -> Result<Verdict, BackendError> {
+    ) -> Result<Box<dyn CommitmentVerifier>, BackendError> {
         commitment.expect_backend(BackendId::Pairing)?;
-        proof.expect_backend(BackendId::Pairing)?;
         let (pk, meta) = Self::decode_commitment(&commitment.bytes)?;
+        meta.validate()?;
+        // one hash-to-curve point per chunk and the key's two G2 points
+        // are everything this commitment can ever ask the caches for
+        let auditor = Auditor::with_capacities(meta.num_chunks, 2);
+        Ok(Box::new(PairingVerifier { pk, meta, auditor }))
+    }
+}
+
+/// The pairing scheme's prepared verifier: the validated public key and
+/// file metadata, plus an [`Auditor`] whose caches stay warm across
+/// rounds.
+struct PairingVerifier {
+    pk: PublicKey,
+    meta: FileMeta,
+    auditor: Auditor,
+}
+
+impl CommitmentVerifier for PairingVerifier {
+    fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError> {
+        proof.expect_backend(BackendId::Pairing)?;
         let p = PrivateProof::decode(&proof.bytes)?;
         let challenge = Challenge::from_beacon(beacon);
-        Ok(verify_private(&pk, &meta, &challenge, &p)?)
+        Ok(self.auditor.verify_private(&self.pk, &self.meta, &challenge, &p)?)
     }
 }
 

@@ -3,9 +3,11 @@
 //!
 //! Where [`crate::AuditContract`] is the paper's pairing protocol in
 //! full (negotiation, micro-payments, disputes, batch verdicts), this
-//! contract is the *scheme-agnostic* round loop: it stores an erased
-//! [`Commitment`], decodes an erased [`BackendProof`] at `prove` time,
-//! and lets the backend decide the verdict at the `Verify` trigger.
+//! contract is the *scheme-agnostic* round loop: it decodes and
+//! validates an erased [`Commitment`] once at deployment into the
+//! backend's [`CommitmentVerifier`], decodes an erased [`BackendProof`]
+//! at `prove` time, and lets the prepared verifier decide the verdict
+//! at every `Verify` trigger.
 //! Several contracts with *different* backends coexist on one chain —
 //! backend choice is a term of the storage agreement, not a property
 //! of the chain.
@@ -14,9 +16,10 @@
 //! a proof tagged for another backend) revert the `prove` transaction
 //! with [`VmError::BadCalldata`] and never reach verdict logic; only a
 //! well-formed proof that fails its backend's check settles the round
-//! as a failure.
+//! as a failure. A commitment that does not decode or validate fails
+//! the deployment, so no contract exists that could never verify.
 
-use dsaudit_backend::{AuditBackend, BackendProof, Commitment};
+use dsaudit_backend::{AuditBackend, BackendId, BackendProof, Commitment, CommitmentVerifier};
 use dsaudit_chain::gas::GasSchedule;
 use dsaudit_chain::runtime::{CallEnv, ContractBehavior, VmError};
 use dsaudit_chain::types::{Address, Wei};
@@ -61,11 +64,11 @@ pub struct BackendAgreement {
 
 /// The backend-generic audit contract state.
 pub struct BackendContract {
-    /// The scheme this contract verifies with.
-    backend: Box<dyn AuditBackend>,
-    /// The erased commitment stored at deployment; its id byte is the
-    /// contract's backend selection on the wire.
-    commitment: Commitment,
+    /// The scheme this contract verifies with: the id byte of the
+    /// commitment it was deployed over.
+    backend: BackendId,
+    /// The commitment, decoded and validated at deployment.
+    verifier: Box<dyn CommitmentVerifier>,
     terms: BackendAgreement,
     phase: BackendPhase,
     cnt: u64,
@@ -91,27 +94,25 @@ pub struct BackendContract {
 }
 
 impl BackendContract {
-    /// Creates the contract over an erased commitment.
+    /// Creates the contract over an erased commitment, preparing the
+    /// backend's verifier from it once.
     ///
     /// # Errors
     /// [`VmError::BadCalldata`] if the commitment's backend id does not
-    /// match the supplied backend — a deployment-time wiring bug that
-    /// must not produce a contract that can never verify.
+    /// match the supplied backend, or its payload does not decode or
+    /// validate — a deployment-time bug that must not produce a
+    /// contract that can never verify.
     pub fn new(
         backend: Box<dyn AuditBackend>,
         commitment: Commitment,
         terms: BackendAgreement,
     ) -> Result<Self, VmError> {
-        if commitment.backend != backend.id() {
-            return Err(VmError::BadCalldata(format!(
-                "commitment is for backend `{}`, contract speaks `{}`",
-                commitment.backend,
-                backend.id()
-            )));
-        }
+        let verifier = backend
+            .verifier(&commitment)
+            .map_err(|e| VmError::BadCalldata(format!("commitment rejected at deployment: {e}")))?;
         Ok(Self {
-            backend,
-            commitment,
+            backend: backend.id(),
+            verifier,
             terms,
             phase: BackendPhase::Freeze,
             cnt: 0,
@@ -142,8 +143,8 @@ impl BackendContract {
     }
 
     /// The backend this contract verifies with.
-    pub fn backend_id(&self) -> dsaudit_backend::BackendId {
-        self.backend.id()
+    pub fn backend_id(&self) -> BackendId {
+        self.backend
     }
 
     fn charge(&mut self, env: &mut CallEnv, gas: u64) {
@@ -156,31 +157,31 @@ impl BackendContract {
     /// Obs counter name for this contract's per-backend gas total
     /// (static strings so the metered path never formats).
     fn gas_metric(&self) -> &'static str {
-        match self.backend.id() {
-            dsaudit_backend::BackendId::Pairing => "contract.gas.pairing",
-            dsaudit_backend::BackendId::Merkle => "contract.gas.merkle",
-            dsaudit_backend::BackendId::Groth16Merkle => "contract.gas.groth16",
+        match self.backend {
+            BackendId::Pairing => "contract.gas.pairing",
+            BackendId::Merkle => "contract.gas.merkle",
+            BackendId::Groth16Merkle => "contract.gas.groth16",
         }
     }
 
     /// Obs counter name for this contract's per-backend proof bytes.
     fn proof_bytes_metric(&self) -> &'static str {
-        match self.backend.id() {
-            dsaudit_backend::BackendId::Pairing => "contract.proof_bytes.pairing",
-            dsaudit_backend::BackendId::Merkle => "contract.proof_bytes.merkle",
-            dsaudit_backend::BackendId::Groth16Merkle => "contract.proof_bytes.groth16",
+        match self.backend {
+            BackendId::Pairing => "contract.proof_bytes.pairing",
+            BackendId::Merkle => "contract.proof_bytes.merkle",
+            BackendId::Groth16Merkle => "contract.proof_bytes.groth16",
         }
     }
 
     /// Obs counter name for settled rounds, split by outcome.
     fn round_metric(&self, passed: bool) -> &'static str {
-        match (self.backend.id(), passed) {
-            (dsaudit_backend::BackendId::Pairing, true) => "contract.rounds_passed.pairing",
-            (dsaudit_backend::BackendId::Pairing, false) => "contract.rounds_failed.pairing",
-            (dsaudit_backend::BackendId::Merkle, true) => "contract.rounds_passed.merkle",
-            (dsaudit_backend::BackendId::Merkle, false) => "contract.rounds_failed.merkle",
-            (dsaudit_backend::BackendId::Groth16Merkle, true) => "contract.rounds_passed.groth16",
-            (dsaudit_backend::BackendId::Groth16Merkle, false) => "contract.rounds_failed.groth16",
+        match (self.backend, passed) {
+            (BackendId::Pairing, true) => "contract.rounds_passed.pairing",
+            (BackendId::Pairing, false) => "contract.rounds_failed.pairing",
+            (BackendId::Merkle, true) => "contract.rounds_passed.merkle",
+            (BackendId::Merkle, false) => "contract.rounds_failed.merkle",
+            (BackendId::Groth16Merkle, true) => "contract.rounds_passed.groth16",
+            (BackendId::Groth16Merkle, false) => "contract.rounds_failed.groth16",
         }
     }
 
@@ -252,7 +253,7 @@ impl ContractBehavior for BackendContract {
                 }
                 if self.owner_in && self.provider_in {
                     self.phase = BackendPhase::Audit;
-                    env.emit("inited", vec![self.backend.id().as_u8()]);
+                    env.emit("inited", vec![self.backend.as_u8()]);
                     env.schedule(env.now + self.terms.interval_secs, "Chal");
                 }
                 Ok(())
@@ -269,11 +270,10 @@ impl ContractBehavior for BackendContract {
                 // never a verdict
                 let proof = BackendProof::decode(data)
                     .map_err(|e| VmError::BadCalldata(e.to_string()))?;
-                if proof.backend != self.backend.id() {
+                if proof.backend != self.backend {
                     return Err(VmError::BadCalldata(format!(
                         "proof is for backend `{}`, contract speaks `{}`",
-                        proof.backend,
-                        self.backend.id()
+                        proof.backend, self.backend
                     )));
                 }
                 self.onchain_proof_bytes += data.len();
@@ -311,12 +311,12 @@ impl ContractBehavior for BackendContract {
                 let passed = match self.pending.take() {
                     Some(proof) => {
                         let t0 = std::time::Instant::now();
-                        // a backend error here means the *stored
-                        // commitment* is unusable — contract state
-                        // corruption, not a provider failure
+                        // the commitment was validated at deployment,
+                        // so an error here is a proof payload that
+                        // framed correctly but does not decode
                         let verdict = self
-                            .backend
-                            .verify(&self.commitment, &rand, &proof)
+                            .verifier
+                            .verify(&rand, &proof)
                             .map_err(|e| VmError::BadState(e.to_string()))?;
                         let ms = self
                             .nominal_verify_ms
@@ -568,6 +568,33 @@ mod tests {
             .filter(|e| e.contract == pairing.contract && e.name == "timeout")
             .count();
         assert_eq!(timeouts, 1);
+    }
+
+    #[test]
+    fn undecodable_commitment_is_a_deploy_error() {
+        let mut rng = StdRng::seed_from_u64(0x50a5);
+        let setup = small_backend(BackendId::Pairing)
+            .setup(&mut rng, &[2u8; 300])
+            .expect("setup");
+        let owner = Address::from_label("bad/owner");
+        let provider = Address::from_label("bad/provider");
+        let truncated = setup.commitment.bytes[..setup.commitment.bytes.len() - 1].to_vec();
+        // the right id byte over a payload that does not decode: the
+        // deployment fails, no contract exists to fail at `Verify`
+        for bytes in [vec![0xa5; 40], truncated] {
+            let commitment = Commitment {
+                backend: BackendId::Pairing,
+                bytes,
+            };
+            assert!(matches!(
+                BackendContract::new(
+                    small_backend(BackendId::Pairing),
+                    commitment,
+                    terms(owner, provider, 1),
+                ),
+                Err(VmError::BadCalldata(_))
+            ));
+        }
     }
 
     #[test]

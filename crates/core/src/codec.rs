@@ -21,6 +21,7 @@ use dsaudit_algebra::pairing::Gt;
 use dsaudit_algebra::Fr;
 
 use crate::error::DsAuditError;
+use crate::par::par_map;
 
 /// Canonical serialization to/from the protocol's wire format.
 pub trait Codec: Sized {
@@ -244,12 +245,16 @@ impl Codec for Vec<G1Affine> {
                 got: r.remaining(),
             });
         }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bytes = r.array::<32>("tag")?;
-            out.push(G1Affine::from_compressed(&bytes).ok_or_else(|| r.malformed("tag"))?);
-        }
-        Ok(out)
+        // each record costs a square root to decompress and records are
+        // independent, so they decompress across cores
+        let records: Vec<&[u8]> = r.take(32 * count, "tags")?.chunks_exact(32).collect();
+        par_map(records.len(), |i| {
+            let bytes: [u8; 32] = records.get(i).copied()?.try_into().ok()?;
+            G1Affine::from_compressed(&bytes)
+        })
+        .into_iter()
+        .collect::<Option<Vec<G1Affine>>>()
+        .ok_or_else(|| r.malformed("tag"))
     }
 }
 
@@ -359,6 +364,53 @@ mod tests {
             Vec::<G1Affine>::decode(&Vec::<G1Affine>::new().encode()).unwrap(),
             Vec::new()
         );
+    }
+
+    /// `n` distinct tags: successive multiples of a random point.
+    fn tag_vector(n: usize) -> Vec<G1Affine> {
+        let step = G1Projective::random(&mut rng());
+        let points: Vec<G1Projective> = std::iter::successors(Some(step), |p| Some(p.add(&step)))
+            .take(n)
+            .collect();
+        points.iter().map(G1Projective::to_affine).collect()
+    }
+
+    #[test]
+    fn tag_vector_roundtrips_on_both_sides_of_the_parallel_cutoff() {
+        // 31 records decompress serially, 677 across the worker threads
+        for n in [31, 677] {
+            let tags = tag_vector(n);
+            let bytes = tags.encode();
+            assert_eq!(bytes.len(), 4 + 32 * n);
+            assert_eq!(Vec::<G1Affine>::decode(&bytes).unwrap(), tags, "{n} tags");
+        }
+    }
+
+    #[test]
+    fn malformed_tag_record_is_the_same_error_at_any_position() {
+        for n in [31, 677] {
+            let bytes = tag_vector(n).encode();
+            for at in [0, n / 2, n - 1] {
+                let mut bad = bytes.clone();
+                // the infinity flag with a nonzero body is no point
+                bad[4 + 32 * at..4 + 32 * (at + 1)].copy_from_slice(&[0xff; 32]);
+                assert_eq!(
+                    Vec::<G1Affine>::decode(&bad),
+                    Err(DsAuditError::Malformed {
+                        ty: "TagVector",
+                        field: "tag"
+                    }),
+                    "{n} tags, bad record at {at}"
+                );
+            }
+            // one record more than the bytes hold
+            let mut forged = bytes.clone();
+            forged[..4].copy_from_slice(&(n as u32 + 1).to_le_bytes());
+            assert!(matches!(
+                Vec::<G1Affine>::decode(&forged),
+                Err(DsAuditError::Truncated { field: "tags", .. })
+            ));
+        }
     }
 
     #[test]
