@@ -206,10 +206,28 @@ impl AuditBackend for Groth16MerkleBackend {
     }
 }
 
+/// The Groth16 proof inside an erased frame.
+fn decode_proof(proof: &BackendProof) -> Result<Proof, BackendError> {
+    proof.expect_backend(BackendId::Groth16Merkle)?;
+    Ok(Proof::decode(&proof.bytes)?)
+}
+
 impl CommitmentVerifier for G16Commitment {
+    fn backend(&self) -> BackendId {
+        BackendId::Groth16Merkle
+    }
+
+    fn commitment_len(&self) -> usize {
+        // root || depth (4 B) || leaf_count (8 B) || batch (4 B) || vk
+        self.root.encoded_len() + 16 + self.vk.encoded_len()
+    }
+
+    fn check_format(&self, proof: &BackendProof) -> Result<(), BackendError> {
+        decode_proof(proof).map(drop)
+    }
+
     fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError> {
-        proof.expect_backend(BackendId::Groth16Merkle)?;
-        let p = Proof::decode(&proof.bytes)?;
+        let p = decode_proof(proof)?;
         let indices = Groth16MerkleBackend::indices(beacon, self.leaf_count, self.batch);
         let publics = batch_public_inputs(self.root, &indices, self.depth);
         if verify(&self.vk, &publics, &p) {

@@ -196,6 +196,22 @@ pub trait AuditBackend: Send + Sync {
 /// A verifier bound to one decoded, validated [`Commitment`] — built by
 /// [`AuditBackend::verifier`] and reused across rounds.
 pub trait CommitmentVerifier: Send + Sync {
+    /// The backend this verifier speaks.
+    fn backend(&self) -> BackendId;
+
+    /// Length in bytes of the commitment payload this verifier was
+    /// prepared from: what a contract registers on chain at deployment.
+    fn commitment_len(&self) -> usize;
+
+    /// Checks that `proof` is well formed for this backend (its id
+    /// matches and its payload decodes) without verifying it. A
+    /// contract runs this when a proof is posted, so malformed bytes
+    /// revert the submission instead of reaching a verdict.
+    ///
+    /// # Errors
+    /// As [`CommitmentVerifier::verify`] for ill-formed proofs.
+    fn check_format(&self, proof: &BackendProof) -> Result<(), BackendError>;
+
     /// Checks a proof for the challenge derived from `beacon`.
     ///
     /// # Errors

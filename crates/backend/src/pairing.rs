@@ -125,6 +125,24 @@ impl AuditBackend for PairingBackend {
     ) -> Result<Box<dyn CommitmentVerifier>, BackendError> {
         commitment.expect_backend(BackendId::Pairing)?;
         let (pk, meta) = Self::decode_commitment(&commitment.bytes)?;
+        Self::verifier_for(pk, meta)
+    }
+}
+
+impl PairingBackend {
+    /// The prepared verifier for an already-decoded key and file: what
+    /// [`AuditBackend::verifier`] ends in after decoding a commitment.
+    /// A [`PublicKey`] value is valid by construction (only key
+    /// generation and the validating decoder make one), so callers that
+    /// hold one skip the commitment decode entirely.
+    ///
+    /// # Errors
+    /// [`BackendError::Audit`] when `meta` can never be audited (zero
+    /// chunks or zero challenge count).
+    pub fn verifier_for(
+        pk: PublicKey,
+        meta: FileMeta,
+    ) -> Result<Box<dyn CommitmentVerifier>, BackendError> {
         meta.validate()?;
         // one hash-to-curve point per chunk and the key's two G2 points
         // are everything this commitment can ever ask the caches for
@@ -142,10 +160,28 @@ struct PairingVerifier {
     auditor: Auditor,
 }
 
+/// The pairing proof inside an erased frame.
+fn decode_proof(proof: &BackendProof) -> Result<PrivateProof, BackendError> {
+    proof.expect_backend(BackendId::Pairing)?;
+    Ok(PrivateProof::decode(&proof.bytes)?)
+}
+
 impl CommitmentVerifier for PairingVerifier {
+    fn backend(&self) -> BackendId {
+        BackendId::Pairing
+    }
+
+    fn commitment_len(&self) -> usize {
+        // pk || name || num_chunks (4 B) || k (4 B)
+        self.pk.encoded_len() + self.meta.name.encoded_len() + 8
+    }
+
+    fn check_format(&self, proof: &BackendProof) -> Result<(), BackendError> {
+        decode_proof(proof).map(drop)
+    }
+
     fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError> {
-        proof.expect_backend(BackendId::Pairing)?;
-        let p = PrivateProof::decode(&proof.bytes)?;
+        let p = decode_proof(proof)?;
         let challenge = Challenge::from_beacon(beacon);
         Ok(self.auditor.verify_private(&self.pk, &self.meta, &challenge, &p)?)
     }

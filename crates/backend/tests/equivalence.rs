@@ -149,10 +149,25 @@ fn prepared_verifier_matches_one_shot_verify() {
         let mut rng = StdRng::seed_from_u64(0x7e ^ backend.id().as_u8() as u64);
         let setup = backend.setup(&mut rng, &data).expect("setup");
         let verifier = backend.verifier(&setup.commitment).expect("commitment decodes");
+        assert_eq!(verifier.backend(), backend.id());
+        assert_eq!(
+            verifier.commitment_len(),
+            setup.commitment.bytes.len(),
+            "backend `{}`",
+            backend.id()
+        );
         for (label, proof) in round_proofs(backend.as_ref(), &setup, &data, &beacon, &mut rng) {
             let prepared = verifier.verify(&beacon, &proof);
             let one_shot = backend.verify(&setup.commitment, &beacon, &proof);
             assert_eq!(prepared, one_shot, "backend `{}`, {label} proof", backend.id());
+            // the format check passes exactly on the proofs verify can
+            // judge, so a proof admitted at `prove` always gets a verdict
+            assert_eq!(
+                verifier.check_format(&proof).is_ok(),
+                prepared.is_ok(),
+                "backend `{}`, {label} proof",
+                backend.id()
+            );
             match label.as_str() {
                 "honest" => assert_eq!(prepared, Ok(Verdict::Accept), "backend `{}`", backend.id()),
                 "corrupted store" => assert!(
@@ -193,18 +208,20 @@ fn prepared_verifier_refuses_foreign_and_garbage_proofs() {
             if other.id() == backend.id() {
                 continue;
             }
+            let wrong = Err(BackendError::WrongBackend {
+                expected: backend.id(),
+                got: other.id(),
+            });
             assert_eq!(
                 verifier.verify(&beacon, foreign),
-                Err(BackendError::WrongBackend {
-                    expected: backend.id(),
-                    got: other.id(),
-                }),
+                wrong,
                 "backend `{}` given a `{}` proof",
                 backend.id(),
                 other.id()
             );
+            assert_eq!(verifier.check_format(foreign), wrong.map(drop));
         }
-        for garbage in [Vec::new(), vec![0xff; 7], vec![0u8; 4096]] {
+        for garbage in [Vec::new(), vec![0u8; 3], vec![0xff; 7], vec![0u8; 4096]] {
             let proof = BackendProof {
                 backend: backend.id(),
                 bytes: garbage,
@@ -212,6 +229,11 @@ fn prepared_verifier_refuses_foreign_and_garbage_proofs() {
             assert!(
                 verifier.verify(&beacon, &proof).is_err(),
                 "backend `{}` settled garbage bytes",
+                backend.id()
+            );
+            assert!(
+                verifier.check_format(&proof).is_err(),
+                "backend `{}` admitted garbage bytes",
                 backend.id()
             );
         }

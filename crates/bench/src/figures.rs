@@ -328,38 +328,53 @@ pub fn costs() {
     );
 }
 
-/// Baseline comparison: the §II Sia-style Merkle contract vs. the main
-/// protocol contract, run on the same simulated chain — per-round
-/// on-chain bytes and the privacy difference, end to end.
+/// Baseline comparison: the §II Sia-style Merkle audit vs. the main
+/// protocol, each through the audit contract on the same simulated
+/// chain machinery — per-round on-chain bytes and the privacy
+/// difference, end to end.
 pub fn baseline() {
+    use dsaudit_backend::{AuditBackend, MerkleBackend};
     use dsaudit_chain::beacon::TrustedBeacon;
     use dsaudit_chain::chain::Blockchain;
-    use dsaudit_chain::types::{eth, gwei, Address, Transaction, TxKind};
-    use dsaudit_contract::MerkleAuditContract;
-    use dsaudit_merkle::audit::{honest_response, MerkleAudit};
+    use dsaudit_chain::types::{eth, gwei, Address, Transaction, TxKind, TxStatus};
+    use dsaudit_contract::{BackendAgreement, BackendContract};
+    use dsaudit_core::codec::Codec;
 
     println!("Baseline (Sia-style Merkle) vs. main protocol, on chain");
     let file: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
 
-    // --- Merkle baseline ---
+    // --- Merkle baseline: one raw 64-byte leaf + its path per round ---
     let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"bl")));
     let owner = Address::from_label("bl/owner");
     let provider = Address::from_label("bl/provider");
     chain.fund_account(owner, eth(2));
     chain.fund_account(provider, eth(2));
-    let (verifier, tree, leaves) = MerkleAudit::commit(&file, 64);
-    let contract = MerkleAuditContract::new(
-        owner, provider, verifier.clone(), 3, 3600, 600,
-        gwei(1_000_000), gwei(1_000_000), gwei(3_000_000), gwei(3_000_000),
-    );
+    let merkle = MerkleBackend { leaf_size: 64, k: 1 };
+    let mut r = rng();
+    let setup = merkle.setup(&mut r, &file).expect("merkle setup");
+    let terms = BackendAgreement {
+        owner,
+        provider,
+        num_audits: 3,
+        interval_secs: 3600,
+        deadline_secs: 600,
+        reward: gwei(1_000_000),
+        penalty: gwei(1_000_000),
+        owner_deposit: gwei(3_000_000),
+        provider_deposit: gwei(3_000_000),
+    };
+    let contract = BackendContract::new(Box::new(merkle), setup.commitment, terms)
+        .expect("commitment matches backend");
     let addr = chain.deploy("bl", Box::new(contract));
-    for (who, amt) in [(owner, gwei(3_000_000)), (provider, gwei(3_000_000))] {
-        chain.submit(Transaction {
-            from: who, to: addr, value: amt,
-            kind: TxKind::Call { method: "freeze".into(), data: Vec::new() },
-        });
-        chain.mine_block();
-    }
+    let call = |from: Address, method: &str, data: Vec<u8>, value| Transaction {
+        from,
+        to: addr,
+        value,
+        kind: TxKind::Call { method: method.into(), data },
+    };
+    chain.submit(call(owner, "freeze", Vec::new(), gwei(3_000_000)));
+    chain.submit(call(provider, "freeze", Vec::new(), gwei(3_000_000)));
+    chain.mine_block();
     let mut merkle_proof_bytes = 0usize;
     for _ in 0..3 {
         chain.advance_time(3601);
@@ -368,22 +383,20 @@ pub fn baseline() {
             .all_events().into_iter().rev()
             .find(|e| e.name == "challenged").expect("challenged")
             .data.as_slice().try_into().expect("48");
-        let idx = verifier.challenge_index(&rand);
-        let wire = MerkleAuditContract::encode_proof(&honest_response(&tree, &leaves, idx));
+        let wire = merkle.prove(&mut r, &setup.kit, &file, &rand).expect("merkle prove").encode();
         merkle_proof_bytes += wire.len();
-        chain.submit(Transaction {
-            from: provider, to: addr, value: 0,
-            kind: TxKind::Call { method: "prove".into(), data: wire },
-        });
-        chain.mine_block();
+        chain.submit(call(provider, "prove", wire, 0));
+        let b = chain.mine_block();
+        assert_eq!(b.txs[0].1.status, TxStatus::Success, "{:?}", b.txs[0].1.revert_reason);
         chain.advance_time(601);
         chain.mine_block();
     }
+    let passes = chain.all_events().iter().filter(|e| e.name == "pass").count();
+    assert_eq!(passes, 3, "honest baseline rounds must pass");
     let merkle_gas = chain.total_gas_used();
 
     // --- main protocol (same chain machinery) ---
     let mut chain2 = Blockchain::new(Box::new(TrustedBeacon::new(b"main")));
-    let mut r = rng();
     let params = dsaudit_core::params::AuditParams::new(16, 40).expect("valid");
     let terms = dsaudit_contract::AgreementTerms {
         num_audits: 3,

@@ -109,7 +109,7 @@ pub struct Receipt {
     pub revert_reason: Option<String>,
 }
 
-/// A contract event (broadcast in Fig. 2: "negotiated", "challenged",
+/// A contract event (broadcast in Fig. 2: "inited", "challenged",
 /// "proofposted", "pass", "fail", ...).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {

@@ -4,16 +4,17 @@
 //!
 //! The off-chain sides are the role handles of `dsaudit-core`: a
 //! [`DataOwner`] produces the outsourcing bundle, a [`StorageProvider`]
-//! validates and holds it, and the deployed [`AuditContract`] carries
-//! its own [`Auditor`](dsaudit_core::Auditor) for verification. (The
-//! typed off-chain session type is `dsaudit_core::session::AuditSession`;
-//! the on-chain pendant here is [`ContractSession`].)
+//! validates and holds it, and the deployed [`BackendContract`] carries
+//! the pairing backend's prepared verifier. (The typed off-chain
+//! session type is `dsaudit_core::session::AuditSession`; the on-chain
+//! pendant here is [`ContractSession`].)
 
+use dsaudit_backend::{BackendId, BackendProof, PairingBackend};
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{Address, Transaction, TxKind, TxStatus, Wei};
 use dsaudit_core::{Challenge, Codec, DataOwner, StorageProvider};
 
-use crate::audit_contract::{Agreement, AuditContract};
+use crate::backend_contract::{BackendAgreement, BackendContract};
 
 /// A fully initialized audit session on chain: deployed contract, both
 /// deposits locked, first challenge scheduled.
@@ -27,24 +28,34 @@ pub struct ContractSession {
     /// Provider-side role handle for responding to challenges.
     pub provider_state: StorageProvider,
     /// Terms in force.
-    pub agreement: Agreement,
+    pub agreement: BackendAgreement,
 }
 
 impl ContractSession {
-    /// The provider's wire response to a challenge: the canonical
-    /// 288-byte encoding posted as `prove` calldata.
+    /// The provider's wire response to a challenge: the 288-byte
+    /// proof in its pairing-backend frame, posted as `prove` calldata.
     pub fn respond_wire<R: rand::RngCore + ?Sized>(
         &self,
         rng: &mut R,
         challenge: &Challenge,
     ) -> Vec<u8> {
-        self.provider_state.respond(rng, challenge).encode()
+        pairing_calldata(&self.provider_state.respond(rng, challenge))
     }
 }
 
+/// `prove` calldata for a pairing proof: the erased backend frame
+/// around its canonical 288-byte encoding.
+pub fn pairing_calldata(proof: &dsaudit_core::PrivateProof) -> Vec<u8> {
+    BackendProof {
+        backend: BackendId::Pairing,
+        bytes: proof.encode(),
+    }
+    .encode()
+}
+
 /// Sets up a complete audit session on the chain: keygen, encode, tag,
-/// provider-side tag validation, deploy, negotiate, ack, deposit (both
-/// sides).
+/// provider-side tag validation, deploy (the owner's commitment to key
+/// and file), and both deposits.
 ///
 /// # Panics
 /// Panics if any setup transaction reverts or the honest bundle fails
@@ -57,60 +68,39 @@ pub fn setup_session<R: rand::RngCore + ?Sized>(
     data: &[u8],
     params: dsaudit_core::params::AuditParams,
     owner_handle: Option<DataOwner>,
-    agreement_template: AgreementTerms,
+    terms: AgreementTerms,
 ) -> ContractSession {
     let owner = Address::from_label(&format!("{label}/owner"));
     let provider = Address::from_label(&format!("{label}/provider"));
-    chain.fund_account(owner, agreement_template.owner_deposit + dsaudit_chain::types::eth(1));
-    chain.fund_account(
-        provider,
-        agreement_template.provider_deposit + dsaudit_chain::types::eth(1),
-    );
+    chain.fund_account(owner, terms.owner_deposit + dsaudit_chain::types::eth(1));
+    chain.fund_account(provider, terms.provider_deposit + dsaudit_chain::types::eth(1));
 
     let owner_handle = owner_handle.unwrap_or_else(|| DataOwner::generate(rng, params));
     let bundle = owner_handle.outsource(rng, data);
-    let meta = bundle.meta();
-    let pk = bundle.pk.clone();
-    // the provider validates the authenticators before acknowledging
+    let verifier = PairingBackend::verifier_for(bundle.pk.clone(), bundle.meta())
+        .expect("harness meta is auditable");
+    // the provider validates the authenticators before depositing
     let provider_state =
         StorageProvider::ingest(rng, bundle).expect("honest bundle must validate");
-    let agreement = Agreement {
+    let agreement = BackendAgreement {
         owner,
         provider,
-        num_audits: agreement_template.num_audits,
-        audit_interval_secs: agreement_template.audit_interval_secs,
-        prove_deadline_secs: agreement_template.prove_deadline_secs,
-        reward_per_audit: agreement_template.reward_per_audit,
-        penalty_per_fail: agreement_template.penalty_per_fail,
-        owner_deposit: agreement_template.owner_deposit,
-        provider_deposit: agreement_template.provider_deposit,
+        num_audits: terms.num_audits,
+        interval_secs: terms.audit_interval_secs,
+        deadline_secs: terms.prove_deadline_secs,
+        reward: terms.reward_per_audit,
+        penalty: terms.penalty_per_fail,
+        owner_deposit: terms.owner_deposit,
+        provider_deposit: terms.provider_deposit,
     };
     let mut contract_obj =
-        AuditContract::new(agreement, pk, meta).expect("harness meta is auditable");
-    if let Some(auditor) = agreement_template.batch_auditor {
+        BackendContract::with_verifier(verifier, agreement).expect("harness terms are consistent");
+    if let Some(auditor) = terms.batch_auditor {
         contract_obj = contract_obj.with_batch_auditor(auditor);
     }
     let contract = chain.deploy(label, Box::new(contract_obj));
-
-    // negotiate -> ack -> deposits
-    submit_ok(chain, owner, contract, "negotiate", Vec::new(), 0);
-    submit_ok(chain, provider, contract, "acked", Vec::new(), 0);
-    submit_ok(
-        chain,
-        owner,
-        contract,
-        "freeze",
-        Vec::new(),
-        agreement.owner_deposit,
-    );
-    submit_ok(
-        chain,
-        provider,
-        contract,
-        "freeze",
-        Vec::new(),
-        agreement.provider_deposit,
-    );
+    submit_ok(chain, owner, contract, "freeze", Vec::new(), terms.owner_deposit);
+    submit_ok(chain, provider, contract, "freeze", Vec::new(), terms.provider_deposit);
 
     ContractSession {
         contract,
@@ -142,13 +132,6 @@ pub struct AgreementTerms {
     /// address (§VII-D amortized verification); `None` keeps classic
     /// per-contract verification at the `Verify` trigger.
     pub batch_auditor: Option<Address>,
-    /// The proof-of-storage scheme this agreement audits with. The
-    /// pairing default is the paper's protocol ([`setup_session`] and
-    /// [`crate::AuditContract`] speak it natively); other backends are
-    /// deployed through [`setup_backend_session`] /
-    /// [`crate::BackendContract`], and contracts with different
-    /// backends coexist on one chain.
-    pub backend: dsaudit_backend::BackendId,
 }
 
 impl Default for AgreementTerms {
@@ -163,98 +146,8 @@ impl Default for AgreementTerms {
             owner_deposit: gwei(1_000_000) * 100,
             provider_deposit: gwei(5_000_000) * 100,
             batch_auditor: None,
-            backend: dsaudit_backend::BackendId::Pairing,
         }
     }
-}
-
-/// A backend-generic audit session on chain: a deployed
-/// [`crate::BackendContract`] with both deposits locked, plus the
-/// provider-side material ([`dsaudit_backend::ProverKit`] and the
-/// stored bytes) needed to answer challenges.
-pub struct BackendSession {
-    /// Deployed contract address.
-    pub contract: Address,
-    /// Data owner account.
-    pub owner: Address,
-    /// Storage provider account.
-    pub provider: Address,
-    /// The scheme this session audits with.
-    pub backend: dsaudit_backend::BackendId,
-    /// Provider-side proving material.
-    pub kit: dsaudit_backend::ProverKit,
-    /// The provider's stored copy of the file (corruptible by tests
-    /// and fault injection).
-    pub stored: Vec<u8>,
-    /// Terms in force.
-    pub terms: AgreementTerms,
-}
-
-/// Sets up a backend-generic audit session: backend setup (tagging /
-/// tree build / SNARK keygen as the scheme demands), deploy, both
-/// deposits. The backend is chosen by `terms.backend`; `nominal_ms`
-/// fixes the metered verification cost for deterministic gas.
-///
-/// # Panics
-/// Panics if backend setup fails or a deposit transaction reverts —
-/// harness programming errors, not runtime conditions.
-pub fn setup_backend_session<R: rand::RngCore>(
-    rng: &mut R,
-    chain: &mut Blockchain,
-    label: &str,
-    data: &[u8],
-    backend: &dyn dsaudit_backend::AuditBackend,
-    terms: AgreementTerms,
-    nominal_ms: Option<f64>,
-) -> BackendSession {
-    let owner = Address::from_label(&format!("{label}/owner"));
-    let provider = Address::from_label(&format!("{label}/provider"));
-    chain.fund_account(owner, terms.owner_deposit + dsaudit_chain::types::eth(1));
-    chain.fund_account(provider, terms.provider_deposit + dsaudit_chain::types::eth(1));
-
-    let setup = backend.setup(rng, data).expect("backend setup");
-    let agreement = crate::backend_contract::BackendAgreement {
-        owner,
-        provider,
-        num_audits: terms.num_audits,
-        interval_secs: terms.audit_interval_secs,
-        deadline_secs: terms.prove_deadline_secs,
-        reward: terms.reward_per_audit,
-        penalty: terms.penalty_per_fail,
-        owner_deposit: terms.owner_deposit,
-        provider_deposit: terms.provider_deposit,
-    };
-    let mut contract = crate::backend_contract::BackendContract::new(
-        backend_box_for_session(backend),
-        setup.commitment,
-        agreement,
-    )
-    .expect("commitment id matches backend");
-    if let Some(ms) = nominal_ms {
-        contract = contract.with_nominal_verify_ms(ms);
-    }
-    let addr = chain.deploy(label, Box::new(contract));
-    submit_ok(chain, owner, addr, "freeze", Vec::new(), terms.owner_deposit);
-    submit_ok(chain, provider, addr, "freeze", Vec::new(), terms.provider_deposit);
-
-    BackendSession {
-        contract: addr,
-        owner,
-        provider,
-        backend: backend.id(),
-        kit: setup.kit,
-        stored: data.to_vec(),
-        terms,
-    }
-}
-
-/// The contract needs its own boxed backend instance; re-resolve the
-/// caller's through the registry (backends are stateless — identity is
-/// the id, configuration defaults are the registry's).
-fn backend_box_for_session(
-    backend: &dyn dsaudit_backend::AuditBackend,
-) -> Box<dyn dsaudit_backend::AuditBackend> {
-    dsaudit_backend::backend_for(backend.id())
 }
 
 /// Submits a contract call and asserts success.
@@ -333,8 +226,8 @@ pub fn run_round_multi<R: rand::RngCore + ?Sized>(
     sessions: &[(&ContractSession, bool)],
 ) -> Vec<bool> {
     assert!(!sessions.is_empty());
-    let interval = sessions[0].0.agreement.audit_interval_secs;
-    let deadline = sessions[0].0.agreement.prove_deadline_secs;
+    let interval = sessions[0].0.agreement.interval_secs;
+    let deadline = sessions[0].0.agreement.deadline_secs;
     // fire all Chal triggers
     chain.advance_time(interval + 1);
     chain.mine_block();

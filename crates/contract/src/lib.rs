@@ -1,22 +1,20 @@
 //! # dsaudit-contract
 //!
-//! The on-chain side of the paper: the storage-auditing smart contract
-//! of Fig. 2 (Initialize: negotiated → acked → freeze; Audit:
-//! challenge → prove → verify → pay), deposit management, micro-payment
-//! settlement and dispute handling, plus a multi-user network harness
-//! for the scalability experiments (§VII-D).
+//! The on-chain side of the paper: one storage-auditing smart contract,
+//! [`BackendContract`], running the Fig. 2 lifecycle over any
+//! proof-of-storage backend (Initialize: deploy with the commitment →
+//! both deposits, or the provider's reject; Audit: challenge → prove →
+//! verify → pay, with batched verdicts and provider migration), plus
+//! the session harness and the multi-user network of the scalability
+//! experiments (§VII-D).
 
 #![forbid(unsafe_code)]
 
-pub mod audit_contract;
 pub mod backend_contract;
 pub mod harness;
-pub mod merkle_contract;
 pub mod registry;
 
-pub use audit_contract::{Agreement, AuditContract, Phase, RoundOutcome};
 pub use backend_contract::{BackendAgreement, BackendContract, BackendPhase};
-pub use merkle_contract::{MerkleAuditContract, MerklePhase};
 pub use harness::{
     run_round, run_round_multi, setup_session, AgreementTerms, ContractSession,
 };

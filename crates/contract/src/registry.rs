@@ -15,10 +15,11 @@ use std::time::Instant;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::Address;
 use dsaudit_core::batch::BatchItem;
-use dsaudit_core::{Auditor, Challenge, Codec, AuditParams, PrivateProof};
+use dsaudit_core::{Auditor, Challenge, AuditParams, PrivateProof};
 
 use crate::harness::{
-    latest_challenge, setup_session, submit_ok, AgreementTerms, ContractSession,
+    latest_challenge, pairing_calldata, setup_session, submit_ok, AgreementTerms,
+    ContractSession,
 };
 
 /// A population of audit sessions sharing one chain.
@@ -123,8 +124,8 @@ impl AuditNetwork {
         rng: &mut R,
         auditor: Address,
     ) -> Vec<bool> {
-        let interval = self.sessions[0].agreement.audit_interval_secs;
-        let deadline = self.sessions[0].agreement.prove_deadline_secs;
+        let interval = self.sessions[0].agreement.interval_secs;
+        let deadline = self.sessions[0].agreement.deadline_secs;
         let chain = &mut self.chain;
         // fire all Chal triggers
         chain.advance_time(interval + 1);
@@ -145,7 +146,7 @@ impl AuditNetwork {
                 session.provider,
                 session.contract,
                 "prove",
-                proof.encode(),
+                pairing_calldata(&proof),
                 0,
             );
             round.push((i, challenge, proof));
@@ -284,8 +285,8 @@ mod tests {
         };
         let mut net = AuditNetwork::new(&mut rng, 1, 300, params, terms);
         let session = &net.sessions[0];
-        let interval = session.agreement.audit_interval_secs;
-        let deadline = session.agreement.prove_deadline_secs;
+        let interval = session.agreement.interval_secs;
+        let deadline = session.agreement.deadline_secs;
         // challenge fires; the provider responds honestly
         net.chain.advance_time(interval + 1);
         net.chain.mine_block();
@@ -308,6 +309,53 @@ mod tests {
             vec![true],
             "honest proof passes via the self-verification fallback"
         );
+    }
+
+    #[test]
+    fn verdict_from_a_stranger_reverts() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5112);
+        let params = AuditParams::new(4, 3).unwrap();
+        let auditor = Address::from_label("network/designated");
+        let terms = AgreementTerms {
+            num_audits: 1,
+            batch_auditor: Some(auditor),
+            ..AgreementTerms::default()
+        };
+        let mut net = AuditNetwork::new(&mut rng, 1, 300, params, terms);
+        let session = &net.sessions[0];
+        net.chain.advance_time(session.agreement.interval_secs + 1);
+        net.chain.mine_block();
+        let ch = latest_challenge(&net.chain, session.contract).expect("challenge");
+        let proof = session.respond_wire(&mut rng, &ch);
+        submit_ok(&mut net.chain, session.provider, session.contract, "prove", proof, 0);
+        // the round parks awaiting the batch verdict
+        net.chain.advance_time(session.agreement.deadline_secs + 1);
+        net.chain.mine_block();
+        let stranger = Address::from_label("network/stranger");
+        net.chain.fund_account(stranger, dsaudit_chain::types::eth(1));
+        let mut verdict = vec![1u8];
+        verdict.extend_from_slice(&1.0f64.to_le_bytes());
+        // neither an outsider nor either party may post the verdict
+        for caller in [stranger, session.provider, session.owner] {
+            net.chain.submit(dsaudit_chain::types::Transaction {
+                from: caller,
+                to: session.contract,
+                value: 0,
+                kind: dsaudit_chain::types::TxKind::Call {
+                    method: "verdict".into(),
+                    data: verdict.clone(),
+                },
+            });
+            let block = net.chain.mine_block();
+            assert_eq!(
+                block.txs[0].1.status,
+                dsaudit_chain::types::TxStatus::Reverted,
+                "verdict from a non-designated caller must revert"
+            );
+        }
+        // the designated auditor settles the round
+        submit_ok(&mut net.chain, auditor, session.contract, "verdict", verdict, 0);
+        assert_eq!(verdicts(&net), vec![true]);
     }
 
     #[test]

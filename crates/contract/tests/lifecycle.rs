@@ -1,12 +1,14 @@
 //! Integration tests for the full Fig. 2 contract lifecycle: honest runs,
 //! data-loss disputes, timeouts, rejections and payment conservation.
 
+use dsaudit_backend::{AuditBackend, PairingBackend};
 use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
-use dsaudit_chain::types::{eth, Transaction, TxKind, TxStatus};
+use dsaudit_chain::types::{eth, Address, Transaction, TxKind, TxStatus};
 use dsaudit_contract::harness::{
     latest_challenge, run_round, setup_session, submit_ok, AgreementTerms,
 };
+use dsaudit_contract::{BackendAgreement, BackendContract};
 use dsaudit_core::params::AuditParams;
 use rand::SeedableRng;
 
@@ -87,36 +89,44 @@ fn timeout_counts_as_failure() {
     assert!(chain.all_events().iter().any(|e| e.name == "timeout"));
 }
 
+/// Deploys a pairing contract over `data` for `label`'s owner and
+/// provider (both funded with 10 ETH) without locking any deposit: the
+/// owner's deployment with its commitment is the negotiation step.
+fn deploy_unfrozen(
+    rng: &mut rand::rngs::StdRng,
+    chain: &mut Blockchain,
+    label: &str,
+    data: &[u8],
+    terms: AgreementTerms,
+) -> (Address, Address, Address) {
+    let owner = Address::from_label(&format!("{label}/owner"));
+    let provider = Address::from_label(&format!("{label}/provider"));
+    chain.fund_account(owner, eth(10));
+    chain.fund_account(provider, eth(10));
+    let backend = PairingBackend::new(params());
+    let setup = backend.setup(rng, data).expect("pairing setup");
+    let agreement = BackendAgreement {
+        owner,
+        provider,
+        num_audits: terms.num_audits,
+        interval_secs: terms.audit_interval_secs,
+        deadline_secs: terms.prove_deadline_secs,
+        reward: terms.reward_per_audit,
+        penalty: terms.penalty_per_fail,
+        owner_deposit: terms.owner_deposit,
+        provider_deposit: terms.provider_deposit,
+    };
+    let contract = BackendContract::new(Box::new(backend), setup.commitment, agreement)
+        .expect("auditable commitment, consistent terms");
+    (chain.deploy(label, Box::new(contract)), owner, provider)
+}
+
 #[test]
 fn provider_can_reject_negotiation() {
     let mut rng = rng();
     let mut chain = chain();
     let terms = AgreementTerms::default();
-    // manual setup up to ack, through the owner role handle
-    let data = [1u8; 500];
-    let p = params();
-    let owner_handle = dsaudit_core::DataOwner::generate(&mut rng, p);
-    let bundle = owner_handle.outsource(&mut rng, &data);
-    let owner = dsaudit_chain::types::Address::from_label("rej/owner");
-    let provider = dsaudit_chain::types::Address::from_label("rej/provider");
-    chain.fund_account(owner, eth(10));
-    chain.fund_account(provider, eth(10));
-    let meta = bundle.meta();
-    let agreement = dsaudit_contract::Agreement {
-        owner,
-        provider,
-        num_audits: terms.num_audits,
-        audit_interval_secs: terms.audit_interval_secs,
-        prove_deadline_secs: terms.prove_deadline_secs,
-        reward_per_audit: terms.reward_per_audit,
-        penalty_per_fail: terms.penalty_per_fail,
-        owner_deposit: terms.owner_deposit,
-        provider_deposit: terms.provider_deposit,
-    };
-    let contract = dsaudit_contract::AuditContract::new(agreement, bundle.pk.clone(), meta)
-        .expect("auditable meta");
-    let addr = chain.deploy("rej", Box::new(contract));
-    submit_ok(&mut chain, owner, addr, "negotiate", Vec::new(), 0);
+    let (addr, owner, provider) = deploy_unfrozen(&mut rng, &mut chain, "rej", &[1u8; 500], terms);
     submit_ok(&mut chain, provider, addr, "reject", Vec::new(), 0);
     assert!(chain.all_events().iter().any(|e| e.name == "rejected"));
     // deposits after rejection revert
@@ -138,39 +148,7 @@ fn wrong_deposit_amount_rejected() {
     let mut rng = rng();
     let mut chain = chain();
     let terms = AgreementTerms::default();
-    let data = [1u8; 500];
-    let p = params();
-    let owner_handle = dsaudit_core::DataOwner::generate(&mut rng, p);
-    let file = owner_handle.encode(&mut rng, &data);
-    let owner = dsaudit_chain::types::Address::from_label("dep/owner");
-    let provider = dsaudit_chain::types::Address::from_label("dep/provider");
-    chain.fund_account(owner, eth(10));
-    chain.fund_account(provider, eth(10));
-    let meta = dsaudit_core::FileMeta {
-        name: file.name,
-        num_chunks: file.num_chunks(),
-        k: p.k,
-    };
-    let agreement = dsaudit_contract::Agreement {
-        owner,
-        provider,
-        num_audits: terms.num_audits,
-        audit_interval_secs: terms.audit_interval_secs,
-        prove_deadline_secs: terms.prove_deadline_secs,
-        reward_per_audit: terms.reward_per_audit,
-        penalty_per_fail: terms.penalty_per_fail,
-        owner_deposit: terms.owner_deposit,
-        provider_deposit: terms.provider_deposit,
-    };
-    let contract = dsaudit_contract::AuditContract::new(
-        agreement,
-        owner_handle.public_key().clone(),
-        meta,
-    )
-    .expect("auditable meta");
-    let addr = chain.deploy("dep", Box::new(contract));
-    submit_ok(&mut chain, owner, addr, "negotiate", Vec::new(), 0);
-    submit_ok(&mut chain, provider, addr, "acked", Vec::new(), 0);
+    let (addr, owner, _) = deploy_unfrozen(&mut rng, &mut chain, "dep", &[1u8; 500], terms);
     // wrong amount
     chain.submit(Transaction {
         from: owner,

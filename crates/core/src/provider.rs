@@ -4,7 +4,8 @@
 //! A [`StorageProvider`] is built by [`ingesting`](StorageProvider::ingest)
 //! an [`Outsourcing`] bundle — which batch-validates the authenticators
 //! against the owner's public key before the provider acknowledges the
-//! contract (the paper's `acked` step) — and then answers audit
+//! contract (the paper's `acked` step, which the contract takes as the
+//! provider's deposit) — and then answers audit
 //! challenges with the privacy-assured 288-byte proof.
 
 #![deny(missing_docs)]

@@ -45,7 +45,7 @@ use dsaudit_backend::{
 use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Address, Transaction, TxKind, TxStatus, Wei};
-use dsaudit_contract::audit_contract::{Agreement, AuditContract};
+use dsaudit_contract::harness::pairing_calldata;
 use dsaudit_contract::{BackendAgreement, BackendContract};
 use dsaudit_core::batch::BatchItem;
 use dsaudit_core::{
@@ -273,8 +273,8 @@ impl Simulation {
 
     /// Uploads every file (encrypt, erasure-code, DHT placement), tags
     /// each share with [`DataOwner::outsource_share`], deploys one
-    /// audit contract per share in batched-verdict mode, and drives all
-    /// of them through negotiate → ack → deposits.
+    /// pairing audit contract per share in batched-verdict mode, and
+    /// locks both deposits on each.
     fn upload_and_deploy(&mut self) {
         let cfg = self.cfg.clone();
         self.shadows = cfg
@@ -334,26 +334,28 @@ impl Simulation {
                     let meta = bundle.meta();
                     let slot = self.slot_by_id[provider];
                     let shard = self.placements.len() % cfg.shards;
-                    let agreement = Agreement {
+                    let terms = BackendAgreement {
                         owner: self.owners[o].addr,
                         provider: self.roster[slot].addr,
                         num_audits: cfg.epochs as u64,
-                        audit_interval_secs: cfg.epoch_secs,
-                        prove_deadline_secs: cfg.prove_deadline_secs,
-                        reward_per_audit: cfg.reward_per_audit,
-                        penalty_per_fail: cfg.penalty_per_fail,
+                        interval_secs: cfg.epoch_secs,
+                        deadline_secs: cfg.prove_deadline_secs,
+                        reward: cfg.reward_per_audit,
+                        penalty: cfg.penalty_per_fail,
                         owner_deposit: cfg.owner_deposit(),
                         provider_deposit: cfg.provider_deposit(),
                     };
-                    let contract_obj =
-                        AuditContract::new(agreement, bundle.pk.clone(), meta)
-                            .expect("share metadata is auditable")
-                            .with_batch_auditor(self.auditor_addrs[shard]);
+                    // the owner already holds the key and metadata, so
+                    // the verifier is prepared without a commitment decode
+                    let verifier = PairingBackend::verifier_for(bundle.pk.clone(), meta)
+                        .expect("share metadata is auditable");
+                    let contract_obj = BackendContract::with_verifier(verifier, terms)
+                        .expect("sim terms are consistent")
+                        .with_batch_auditor(self.auditor_addrs[shard])
+                        .with_nominal_verify_ms(cfg.nominal_verify_ms);
                     let contract = self
                         .chain
                         .deploy(&format!("sim/o{o}f{fi}s{share}"), Box::new(contract_obj));
-                    self.submit_call(self.owners[o].addr, contract, "negotiate", Vec::new(), 0);
-                    self.submit_call(self.roster[slot].addr, contract, "acked", Vec::new(), 0);
                     self.submit_call(
                         self.owners[o].addr,
                         contract,
@@ -377,18 +379,7 @@ impl Simulation {
                         let setup = backend
                             .setup(&mut self.rng, &blob)
                             .expect("lane setup over a fresh share");
-                        let lane_terms = BackendAgreement {
-                            owner: self.owners[o].addr,
-                            provider: self.roster[slot].addr,
-                            num_audits: cfg.epochs as u64,
-                            interval_secs: cfg.epoch_secs,
-                            deadline_secs: cfg.prove_deadline_secs,
-                            reward: cfg.reward_per_audit,
-                            penalty: cfg.penalty_per_fail,
-                            owner_deposit: cfg.owner_deposit(),
-                            provider_deposit: cfg.provider_deposit(),
-                        };
-                        let shadow = BackendContract::new(backend, setup.commitment, lane_terms)
+                        let shadow = BackendContract::new(backend, setup.commitment, terms)
                             .expect("lane commitment matches its backend")
                             .with_nominal_verify_ms(cfg.nominal_verify_ms);
                         let addr = self
@@ -801,7 +792,7 @@ impl Simulation {
             posted[pl_id] = Some((challenge, proof));
             let provider_addr = self.roster[pl.provider_slot].addr;
             let contract = pl.contract;
-            self.submit_call(provider_addr, contract, "prove", proof.encode(), 0);
+            self.submit_call(provider_addr, contract, "prove", pairing_calldata(&proof), 0);
             // shadow lanes prove over the *same* stored bytes for their
             // own contracts' beacons; proving time is the report's one
             // wall-clock measurement (the proofs really are computed)

@@ -14,7 +14,8 @@
 //! * [`merkle`] — Merkle trees and the Siacoin-style audit baseline
 //! * [`snark`] — Groth16 with the MiMC Merkle circuit (the §IV strawman)
 //! * [`chain`] — Ethereum-like simulator: gas, beacons, scheduler, costs
-//! * [`contract`] — the Fig. 2 audit smart contract and multi-user harness
+//! * [`contract`] — the Fig. 2 audit smart contract (one, over every
+//!   backend) and the multi-user harness
 //! * [`storage`] — erasure-coded, DHT-routed decentralized storage network
 //! * [`sim`] — discrete-event network simulator driving all of the above
 //!   through churn, faults, repair and on-chain settlement
